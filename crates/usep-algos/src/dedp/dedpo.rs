@@ -18,7 +18,7 @@ use super::{
 };
 use crate::augment::augment_with_ratio_greedy_guarded;
 use crate::{finish_guarded, GuardedSolve, Solver};
-use usep_core::{CoreView, EventId, Instance, Planning, UserId};
+use usep_core::{EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_trace::{with_span, Counter, Probe};
 
@@ -57,14 +57,8 @@ impl Solver for DeDPO {
     }
 
     fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
-        // view choice is made once per solve, on the calling thread
         let mut scheduler = DpScheduler::with_guard(probe, guard);
-        let mut planning = if usep_core::object_path_forced() {
-            decomposed_with_select(inst, inst, &mut scheduler, guard, probe)
-        } else {
-            let flat = inst.freeze();
-            decomposed_with_select(inst, &*flat, &mut scheduler, guard, probe)
-        };
+        let mut planning = decomposed_with_select(inst, &mut scheduler, guard, probe);
         if self.augment && !guard.is_tripped() {
             augment_with_ratio_greedy_guarded(inst, &mut planning, guard, probe);
         }
@@ -87,9 +81,8 @@ impl Solver for DeDPO {
 ///
 /// Step 2 of the framework — keep each slot with its last holder — is
 /// exactly what the final `select` array encodes.
-pub(crate) fn decomposed_with_select<V: CoreView>(
+pub(crate) fn decomposed_with_select(
     inst: &Instance,
-    view: &V,
     scheduler: &mut impl SingleScheduler,
     guard: &Guard,
     probe: &dyn Probe,
@@ -111,8 +104,8 @@ pub(crate) fn decomposed_with_select<V: CoreView>(
         // building V'_r is the decomposed framework's per-user candidate
         // refresh (step 1 of Alg. 3/4)
         probe.count(Counter::CandidateRefreshUser, 1);
-        let mu_row = view.mu_row(u);
-        lemma1.fill(view, u);
+        let mu_row = inst.mu_row(u);
+        lemma1.fill(inst, u);
         cands.clear();
         for &vi in order {
             let v = EventId(vi);
@@ -126,7 +119,7 @@ pub(crate) fn decomposed_with_select<V: CoreView>(
             for p in layout.slots(v) {
                 let val = match select[p] {
                     0 => mu_vr,
-                    holder => mu_vr - view.mu(v, UserId(holder - 1)),
+                    holder => mu_vr - inst.mu(v, UserId(holder - 1)),
                 };
                 if val > best_val {
                     best_val = val;
@@ -137,7 +130,7 @@ pub(crate) fn decomposed_with_select<V: CoreView>(
                 cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
             }
         }
-        let chosen = scheduler.schedule(view, u, &cands);
+        let chosen = scheduler.schedule(inst, u, &cands);
         for &ci in &chosen {
             select[cands[ci].slot as usize] = r + 1;
         }

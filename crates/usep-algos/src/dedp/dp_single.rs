@@ -14,7 +14,7 @@
 //! actually touched, so a sparse run stays cheap.
 
 use super::{Candidate, SingleScheduler};
-use usep_core::{CoreView, UserId};
+use usep_core::{Instance, UserId};
 use usep_guard::{Guard, TruncationReason};
 use usep_trace::{Counter, Probe, NOOP};
 
@@ -69,8 +69,8 @@ impl<'p> DpScheduler<'p> {
 }
 
 impl SingleScheduler for DpScheduler<'_> {
-    fn schedule<V: CoreView>(&mut self, view: &V, u: UserId, cands: &[Candidate]) -> Vec<usize> {
-        dp_single(self, view, u, cands)
+    fn schedule(&mut self, inst: &Instance, u: UserId, cands: &[Candidate]) -> Vec<usize> {
+        dp_single(self, inst, u, cands)
     }
 }
 
@@ -78,9 +78,9 @@ impl SingleScheduler for DpScheduler<'_> {
 /// utilities strictly positive, Lemma 1 pre-applied). Returns the indices
 /// of the chosen candidates in time order; empty when no affordable
 /// candidate exists.
-pub(crate) fn dp_single<V: CoreView>(
+pub(crate) fn dp_single(
     ws: &mut DpScheduler<'_>,
-    view: &V,
+    inst: &Instance,
     u: UserId,
     cands: &[Candidate],
 ) -> Vec<usize> {
@@ -88,7 +88,7 @@ pub(crate) fn dp_single<V: CoreView>(
     if m == 0 {
         return Vec::new();
     }
-    let budget = view.budget(u).value() as usize;
+    let budget = inst.user(u).budget.value() as usize;
     let stride = budget + 1;
     let cells = match m.checked_mul(stride).filter(|&c| c <= MAX_DP_CELLS) {
         Some(c) => c,
@@ -121,7 +121,7 @@ pub(crate) fn dp_single<V: CoreView>(
     ws.hi.clear();
     ws.hi.resize(m, 0);
     ws.ends.clear();
-    ws.ends.extend(cands.iter().map(|c| view.event_end(c.v)));
+    ws.ends.extend(cands.iter().map(|c| inst.event(c.v).time.end()));
     debug_assert!(ws.ends.windows(2).all(|w| w[0] <= w[1]), "candidates not in end-time order");
 
     let mut best_score = 0.0f64;
@@ -140,8 +140,8 @@ pub(crate) fn dp_single<V: CoreView>(
         let mu_i = cands[i].mu;
         debug_assert!(mu_i > 0.0);
         // both finite by the Lemma 1 filter (round trip ≤ budget)
-        let arrive = view.cost_to_event(u, vi).value() as usize;
-        let go_home = view.cost_from_event(vi, u).value() as usize;
+        let arrive = inst.cost_to_event(u, vi).value() as usize;
+        let go_home = inst.cost_from_event(vi, u).value() as usize;
         if arrive + go_home > budget {
             debug_assert!(false, "Lemma 1 filter should have removed this candidate");
             continue;
@@ -172,9 +172,10 @@ pub(crate) fn dp_single<V: CoreView>(
         }
 
         // transitions from candidates that end before v_i starts
-        let l_i = ws.ends[..i].partition_point(|&e| e <= view.event_start(vi));
+        let start_i = inst.event(vi).time.start();
+        let l_i = ws.ends[..i].partition_point(|&e| e <= start_i);
         for l in 0..l_i {
-            let Some(c) = view.cost_vv(cands[l].v, vi).finite_value() else {
+            let Some(c) = inst.cost_vv(cands[l].v, vi).finite_value() else {
                 continue;
             };
             let c = c as usize;
@@ -226,9 +227,7 @@ pub(crate) fn dp_single<V: CoreView>(
                 break;
             }
             let l = prev as usize;
-            let c = view
-                .cost_vv(cands[l].v, cands[i].v)
-                .value() as usize;
+            let c = inst.cost_vv(cands[l].v, cands[i].v).value() as usize;
             t -= c;
             i = l;
         }

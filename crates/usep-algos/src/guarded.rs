@@ -108,17 +108,12 @@ impl GuardedSolver {
             };
 
             // DeDP's footprint is dominated by the μ^r matrix plus the
-            // one-shot SoA lowering every solve shares, and is known
-            // exactly up front — skip the attempt when it cannot fit.
-            // The lowering term does not depend on which view executes,
-            // so object-path and flat-path runs skip identically.
+            // instance's solver arrays, and is known exactly up front —
+            // skip the attempt when it cannot fit.
             if algo == Algorithm::DeDP && !is_last {
                 let bytes = PseudoLayout::new(inst)
                     .mu_matrix_bytes(inst.num_users())
-                    .saturating_add(usep_core::FlatInstance::estimate_bytes(
-                        inst.num_events(),
-                        inst.num_users(),
-                    ));
+                    .saturating_add(solver_array_bytes(inst.num_events(), inst.num_users()));
                 if remaining.memory_ceiling().is_some_and(|ceiling| bytes > ceiling) {
                     probe.count(Counter::GuardFallback, 1);
                     probe.record("guarded_solve.skipped_matrix_bytes", bytes as f64);
@@ -162,6 +157,25 @@ impl GuardedSolver {
             fallbacks,
         }
     }
+}
+
+/// Bytes charged for an instance's solver-facing arrays in the DeDP
+/// pre-estimate: μ, the three leg arrays, the event-pair matrix, the
+/// conflict bitmask, plus per-event endpoints and capacities and
+/// per-user budgets. The figure is part of the degradation chain's
+/// contract — changing it changes which tier runs under a given memory
+/// ceiling — so it stays fixed even where the layout stores a term
+/// differently.
+fn solver_array_bytes(nv: usize, nu: usize) -> usize {
+    let words = nv.div_ceil(64);
+    let uv = nu * nv * std::mem::size_of::<usep_core::Cost>();
+    nu * nv * std::mem::size_of::<f32>()  // mu
+        + 3 * uv                          // to + from + rt
+        + nv * nv * std::mem::size_of::<usep_core::Cost>() // vv
+        + 2 * nv * std::mem::size_of::<i64>()   // start + end
+        + nv * std::mem::size_of::<u32>()       // capacity
+        + nu * std::mem::size_of::<usep_core::Cost>()      // budget
+        + nv * words * std::mem::size_of::<u64>() // conflict
 }
 
 #[cfg(test)]

@@ -26,34 +26,19 @@
 //! thread count.
 
 use crate::Solver;
-use usep_core::{CoreView, EventId, Instance, Planning, UserId};
+use usep_core::{EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map};
 
 /// Improves `planning` in place until no transfer/swap move helps or
 /// `max_rounds` passes complete. Returns the number of applied moves.
 pub fn improve(inst: &Instance, planning: &mut Planning, max_rounds: usize) -> usize {
-    // view choice is made once per improvement run, on the calling thread
-    if usep_core::object_path_forced() {
-        improve_with(inst, inst, planning, max_rounds)
-    } else {
-        let flat = inst.freeze();
-        improve_with(inst, &*flat, planning, max_rounds)
-    }
-}
-
-fn improve_with<V: CoreView + Sync>(
-    inst: &Instance,
-    view: &V,
-    planning: &mut Planning,
-    max_rounds: usize,
-) -> usize {
     let threads = current_threads();
     let mut applied = 0;
     for _ in 0..max_rounds {
         let before = applied;
-        applied += transfer_round(inst, view, planning, threads);
-        applied += swap_round(inst, view, planning, threads);
+        applied += transfer_round(inst, planning, threads);
+        applied += swap_round(inst, planning, threads);
         if applied == before {
             break; // fixpoint
         }
@@ -66,31 +51,26 @@ fn improve_with<V: CoreView + Sync>(
 /// μ(v, u_from)` that can host `v` in the snapshot. Proposals are then
 /// applied in `(v, u_from)` order, each re-checked against the current
 /// planning (an earlier transfer may have filled `u_to`'s schedule).
-fn transfer_round<V: CoreView + Sync>(
-    inst: &Instance,
-    view: &V,
-    planning: &mut Planning,
-    threads: usize,
-) -> usize {
+fn transfer_round(inst: &Instance, planning: &mut Planning, threads: usize) -> usize {
     let mut pairs: Vec<(EventId, UserId)> =
         planning.assignments().map(|(u, v)| (v, u)).collect();
     pairs.sort_unstable();
     let snapshot: &Planning = planning;
     let proposals = par_map(threads, &pairs, Guard::none(), |_, &(v, u_from)| {
-        let mu_from = view.mu(v, u_from);
+        let mu_from = inst.mu(v, u_from);
         let mut best: Option<(UserId, f64)> = None;
         for u_to in inst.user_ids() {
             if u_to == u_from {
                 continue;
             }
-            let mu_to = view.mu(v, u_to);
+            let mu_to = inst.mu(v, u_to);
             if mu_to <= mu_from {
                 continue;
             }
             if best.is_some_and(|(_, m)| mu_to <= m) {
                 continue;
             }
-            if snapshot.schedule(u_to).can_insert(view, u_to, v) {
+            if snapshot.schedule(u_to).can_insert(inst, u_to, v) {
                 best = Some((u_to, mu_to));
             }
         }
@@ -102,7 +82,7 @@ fn transfer_round<V: CoreView + Sync>(
         let (v, u_from) = pairs[k];
         // revalidate against the mutated planning; a skipped proposal is
         // simply re-found (or not) next round
-        if !planning.schedule(u_to).can_insert(view, u_to, v) {
+        if !planning.schedule(u_to).can_insert(inst, u_to, v) {
             continue;
         }
         assert!(planning.unassign(u_from, v));
@@ -119,16 +99,11 @@ fn transfer_round<V: CoreView + Sync>(
 /// shared snapshot), then the proposals are applied in user-id order,
 /// re-checking capacity and fit (an earlier user's swap may have taken
 /// the last slot of `v_in`).
-fn swap_round<V: CoreView + Sync>(
-    inst: &Instance,
-    view: &V,
-    planning: &mut Planning,
-    threads: usize,
-) -> usize {
+fn swap_round(inst: &Instance, planning: &mut Planning, threads: usize) -> usize {
     let users: Vec<UserId> = inst.user_ids().collect();
     let snapshot: &Planning = planning;
     let proposals = par_map(threads, &users, Guard::none(), |_, &u| {
-        best_swap(inst, view, snapshot, u)
+        best_swap(inst, snapshot, u)
     });
     let mut moves = 0;
     for (k, proposal) in proposals.into_iter().enumerate() {
@@ -138,7 +113,7 @@ fn swap_round<V: CoreView + Sync>(
             continue;
         }
         assert!(planning.unassign(u, v_out));
-        if planning.schedule(u).can_insert(view, u, v_in) {
+        if planning.schedule(u).can_insert(inst, u, v_in) {
             planning.assign(inst, u, v_in).expect("swap target validated");
             moves += 1;
         } else {
@@ -150,22 +125,17 @@ fn swap_round<V: CoreView + Sync>(
 
 /// The best swap for `u` against the snapshot: maximal utility gain,
 /// ties broken by smallest `(v_out, v_in)` so the choice is unique.
-fn best_swap<V: CoreView>(
-    inst: &Instance,
-    view: &V,
-    snapshot: &Planning,
-    u: UserId,
-) -> Option<(EventId, EventId)> {
+fn best_swap(inst: &Instance, snapshot: &Planning, u: UserId) -> Option<(EventId, EventId)> {
     let mut best: Option<(EventId, EventId, f64)> = None;
     for &v_out in snapshot.schedule(u).events() {
-        let mu_out = view.mu(v_out, u);
+        let mu_out = inst.mu(v_out, u);
         let mut trial = snapshot.schedule(u).clone();
         trial.remove(v_out);
         for v_in in inst.event_ids() {
             if v_in == v_out || trial.contains(v_in) {
                 continue;
             }
-            let mu_in = view.mu(v_in, u);
+            let mu_in = inst.mu(v_in, u);
             if mu_in <= mu_out || snapshot.remaining_capacity(inst, v_in) == 0 {
                 continue;
             }
@@ -175,7 +145,7 @@ fn best_swap<V: CoreView>(
             }) {
                 continue;
             }
-            if trial.can_insert(view, u, v_in) {
+            if trial.can_insert(inst, u, v_in) {
                 best = Some((v_out, v_in, gain));
             }
         }

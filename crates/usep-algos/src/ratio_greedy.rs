@@ -23,7 +23,7 @@
 use crate::{finish_guarded, GuardedSolve, Solver};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use usep_core::{CoreView, Cost, EventId, Instance, Planning, UserId};
+use usep_core::{Cost, EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map_section};
 use usep_trace::{with_span, Counter, LocalCounters, Probe};
@@ -119,9 +119,8 @@ fn ratio_of(mu: f64, inc: Cost) -> f64 {
 }
 
 /// Per-user occupancy bitsets over events: `⌈|V|/64⌉` words per user,
-/// bit `v` set iff `v ∈ S_u`. On the flat view a whole feasibility
-/// probe collapses to `conflict_word & occupied_word != 0` against
-/// these rows; the object view ignores them and re-scans intervals.
+/// bit `v` set iff `v ∈ S_u`. A whole feasibility probe collapses to
+/// `conflict_word & occupied_word != 0` against these rows.
 struct Occupancy {
     words: usize,
     bits: Vec<u64>,
@@ -150,50 +149,40 @@ impl Occupancy {
     }
 }
 
-/// Remaining capacity of `v` through the view (identical to
-/// `Planning::remaining_capacity`, which takes the full instance).
-#[inline]
-fn remaining_capacity<V: CoreView>(view: &V, planning: &Planning, v: EventId) -> u32 {
-    view.capacity(v).saturating_sub(planning.load(v))
-}
-
 /// Validity of the pair per Alg. 1: capacity left, `μ > 0`, not yet in
 /// `S_u`, time-feasible insertion, reachable legs, and budget. Returns
 /// the incremental cost when valid. A pure read of the planning, so
 /// parallel scans may call it concurrently; rejects accumulate in the
 /// caller's local counter block.
 ///
-/// On the flat view the duplicate/time-conflict test is the bitmask
-/// word-AND against `occ`'s row for `u`; the insertion *position* is
-/// then recovered with the plain ordinal prefix scan. The object view
-/// reports no mask and takes the legacy interval scan, so both paths
-/// accept exactly the same pairs.
-fn pair_inc<V: CoreView>(
-    view: &V,
+/// The duplicate/time-conflict test is the bitmask word-AND against
+/// `occ`'s row for `u`; the insertion *position* is then recovered with
+/// the plain ordinal prefix scan.
+fn pair_inc(
+    inst: &Instance,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
     u: UserId,
     lc: &mut LocalCounters,
 ) -> Option<Cost> {
-    if remaining_capacity(view, planning, v) == 0 {
+    if planning.remaining_capacity(inst, v) == 0 {
         lc.count(Counter::CapacityReject, 1);
         return None;
     }
-    if view.mu(v, u) <= 0.0 {
+    if inst.mu(v, u) <= 0.0 {
+        return None;
+    }
+    if inst.conflicts_with_occupied(occ.row(u), v) {
         return None;
     }
     let s = planning.schedule(u);
-    let pos = match view.occupied_conflicts(occ.row(u), v) {
-        Some(true) => return None,
-        Some(false) => view.insertion_pos_unchecked(s.events(), v),
-        None => view.insertion_point(s.events(), v)?,
-    };
-    let inc = view.inc_cost_at(s.events(), u, v, pos);
+    let pos = inst.insertion_pos_unchecked(s.events(), v);
+    let inc = inst.inc_cost_at(s.events(), u, v, pos);
     if inc.is_infinite() {
         return None;
     }
-    if view.total_cost(s.events(), u).add(inc) > view.budget(u) {
+    if inst.total_cost(s.events(), u).add(inc) > inst.user(u).budget {
         lc.count(Counter::BudgetReject, 1);
         return None;
     }
@@ -202,21 +191,21 @@ fn pair_inc<V: CoreView>(
 
 /// The scan half of an event refresh (lines 3–5 / 12–14): the best user
 /// for `v` by ratio, tie-broken by `inc_cost` then id. Pure.
-fn scan_event<V: CoreView>(
-    view: &V,
+fn scan_event(
+    inst: &Instance,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
     lc: &mut LocalCounters,
 ) -> Option<(UserId, f64, Cost)> {
-    if remaining_capacity(view, planning, v) == 0 {
+    if planning.remaining_capacity(inst, v) == 0 {
         return None;
     }
     let mut best: Option<(UserId, f64, Cost)> = None;
-    for ui in 0..view.num_users() as u32 {
+    for ui in 0..inst.num_users() as u32 {
         let u = UserId(ui);
-        let Some(inc) = pair_inc(view, planning, occ, v, u, lc) else { continue };
-        let r = ratio_of(view.mu(v, u), inc);
+        let Some(inc) = pair_inc(inst, planning, occ, v, u, lc) else { continue };
+        let r = ratio_of(inst.mu(v, u), inc);
         let better = match best {
             None => true,
             Some((bu, br, binc)) => {
@@ -232,8 +221,8 @@ fn scan_event<V: CoreView>(
 
 /// The scan half of a user refresh (lines 6–8 / 19–20): the best event
 /// for `u` among `events`. Pure.
-fn scan_user<V: CoreView>(
-    view: &V,
+fn scan_user(
+    inst: &Instance,
     planning: &Planning,
     occ: &Occupancy,
     events: &[EventId],
@@ -242,8 +231,8 @@ fn scan_user<V: CoreView>(
 ) -> Option<(EventId, f64, Cost)> {
     let mut best: Option<(EventId, f64, Cost)> = None;
     for &v in events {
-        let Some(inc) = pair_inc(view, planning, occ, v, u, lc) else { continue };
-        let r = ratio_of(view.mu(v, u), inc);
+        let Some(inc) = pair_inc(inst, planning, occ, v, u, lc) else { continue };
+        let r = ratio_of(inst.mu(v, u), inc);
         let better = match best {
             None => true,
             Some((bv, br, binc)) => {
@@ -257,11 +246,8 @@ fn scan_user<V: CoreView>(
     best
 }
 
-struct Engine<'a, V: CoreView + Sync> {
+struct Engine<'a> {
     inst: &'a Instance,
-    /// The hot-path accessor surface: the frozen `FlatInstance`
-    /// normally, the instance itself under `with_object_path`.
-    view: &'a V,
     planning: &'a mut Planning,
     /// Per-user occupancy bitsets, kept in lockstep with `planning`.
     occ: Occupancy,
@@ -284,10 +270,9 @@ struct Engine<'a, V: CoreView + Sync> {
     probe: &'a dyn Probe,
 }
 
-impl<'a, V: CoreView + Sync> Engine<'a, V> {
+impl<'a> Engine<'a> {
     fn new(
         inst: &'a Instance,
-        view: &'a V,
         planning: &'a mut Planning,
         events: &'a [EventId],
         guard: &'a Guard,
@@ -300,7 +285,6 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
         let occ = Occupancy::from_planning(inst.num_events(), planning);
         Engine {
             inst,
-            view,
             planning,
             occ,
             events,
@@ -351,7 +335,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             return; // event excluded from this run
         }
         let mut lc = LocalCounters::new();
-        let best = scan_event(self.view, self.planning, &self.occ, v, &mut lc);
+        let best = scan_event(self.inst, self.planning, &self.occ, v, &mut lc);
         lc.flush_into(self.probe);
         self.commit_event(pos as usize, v, best);
     }
@@ -360,7 +344,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     /// pushes it.
     fn refresh_user(&mut self, u: UserId) {
         let mut lc = LocalCounters::new();
-        let best = scan_user(self.view, self.planning, &self.occ, self.events, u, &mut lc);
+        let best = scan_user(self.inst, self.planning, &self.occ, self.events, u, &mut lc);
         lc.flush_into(self.probe);
         self.commit_user(u, best);
     }
@@ -372,7 +356,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     fn seed(&mut self) {
         let users: Vec<UserId> = self.inst.user_ids().collect();
         if self.threads > 1 && self.events.len().max(users.len()) >= MIN_PAR_ITEMS {
-            let (view, probe) = (self.view, self.probe);
+            let (inst, probe) = (self.inst, self.probe);
             let occ = &self.occ;
             let planning: &Planning = self.planning;
             let event_scans = par_map_section(
@@ -382,7 +366,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 self.events,
                 self.guard,
                 LocalCounters::new,
-                |lc, _, &v| scan_event(view, planning, occ, v, lc),
+                |lc, _, &v| scan_event(inst, planning, occ, v, lc),
                 |mut lc| lc.flush_into(probe),
             );
             for (pos, scan) in event_scans.into_iter().enumerate() {
@@ -401,7 +385,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 &users,
                 self.guard,
                 LocalCounters::new,
-                |lc, _, &u| scan_user(view, planning, occ, events, u, lc),
+                |lc, _, &u| scan_user(inst, planning, occ, events, u, lc),
                 |mut lc| lc.flush_into(probe),
             );
             for (i, scan) in user_scans.into_iter().enumerate() {
@@ -465,7 +449,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 Side::User => self.user_best[c.u.index()] = None,
             }
             let mut lc = LocalCounters::new();
-            let revalidated = pair_inc(self.view, self.planning, &self.occ, c.v, c.u, &mut lc);
+            let revalidated = pair_inc(self.inst, self.planning, &self.occ, c.v, c.u, &mut lc);
             lc.flush_into(self.probe);
             let added = if let Some(inc) = revalidated {
                 self.planning
@@ -498,7 +482,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                     })
                     .collect();
                 if self.threads > 1 && incident.len() >= MIN_PAR_ITEMS {
-                    let (view, probe) = (self.view, self.probe);
+                    let (inst, probe) = (self.inst, self.probe);
                     let occ = &self.occ;
                     let planning: &Planning = self.planning;
                     let scans = par_map_section(
@@ -508,7 +492,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                         &incident,
                         self.guard,
                         LocalCounters::new,
-                        |lc, _, &(_, v)| scan_event(view, planning, occ, v, lc),
+                        |lc, _, &(_, v)| scan_event(inst, planning, occ, v, lc),
                         |mut lc| lc.flush_into(probe),
                     );
                     for (k, scan) in scans.into_iter().enumerate() {
@@ -548,15 +532,7 @@ pub(crate) fn run_ratio_greedy(
     if events.is_empty() || inst.num_users() == 0 {
         return;
     }
-    // the view decision is made once, here, on the calling thread; the
-    // chosen view flows into the parallel scan closures, so workers
-    // never consult the thread-local
-    if usep_core::object_path_forced() {
-        Engine::new(inst, inst, planning, events, guard, probe).run();
-    } else {
-        let flat = inst.freeze();
-        Engine::new(inst, &*flat, planning, events, guard, probe).run();
-    }
+    Engine::new(inst, planning, events, guard, probe).run();
 }
 
 #[cfg(test)]

@@ -1,31 +1,25 @@
-//! Core hot-path microbenchmarks: the object path vs the frozen SoA
-//! view (`Instance::freeze`).
+//! Core hot-path microbenchmarks over the instance's lowered arrays.
 //!
-//! Times the three inner-loop primitives every solver leans on, each
-//! through both `CoreView` implementations on the same instance:
+//! Times the three inner-loop primitives every solver leans on:
 //!
 //! * **feasibility_check** — `insertion_point` against populated
-//!   schedules: interval scans (object) vs conflict-bitmask word
-//!   probes (flat);
-//! * **inc_cost** — Eq. (3) insertion deltas: Manhattan-plus-fee
-//!   composition on the fly (object) vs precomputed contiguous cost
-//!   rows (flat);
+//!   schedules (conflict-bitmask word probes);
+//! * **inc_cost** — Eq. (3) insertion deltas over the precomputed
+//!   contiguous leg and event-pair rows;
 //! * **mu_row_sweep** — the Lemma-1-prefiltered candidate sweep over
 //!   `μ`-rows, the per-user setup loop of DeDP/DeDPO/DeGreedy.
 //!
-//! Both views are exercised through the same generic functions, so the
-//! comparison measures the data layout, not differing code. Besides the
-//! usual criterion output, the run exports a machine-readable summary
-//! (median ns per section per view, plus the flat-over-object speedup)
-//! to `BENCH_core.json` at the workspace root — path overridable via
-//! the `BENCH_CORE_JSON` environment variable — so CI can track the
-//! hot-path trajectory across commits.
+//! Besides the usual criterion output, the run exports a
+//! machine-readable summary (median ns per section, the instance shape
+//! and the hardware thread count) to `BENCH_core.json` at the workspace
+//! root — path overridable via the `BENCH_CORE_JSON` environment
+//! variable — so CI can track the hot-path trajectory across commits.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use usep_bench::BENCH_USERS;
-use usep_core::{CoreView, EventId, Instance, Schedule, UserId};
+use usep_core::{EventId, Instance, Schedule, UserId};
 use usep_gen::{generate, SyntheticConfig};
 
 fn bench_instance() -> Instance {
@@ -50,15 +44,12 @@ fn filled_schedules(inst: &Instance) -> Vec<Vec<EventId>> {
         .collect()
 }
 
-/// Time-feasibility probe of every event against every user's
-/// schedule; interval scans on the object path, word-AND bit probes on
-/// the flat one.
-fn feasibility<V: CoreView>(view: &V, schedules: &[Vec<EventId>]) -> u64 {
-    let nv = view.num_events() as u32;
+/// Time-feasibility probe of every event against every user's schedule.
+fn feasibility(inst: &Instance, schedules: &[Vec<EventId>]) -> u64 {
     let mut feasible = 0u64;
     for events in schedules {
-        for v in 0..nv {
-            if view.insertion_point(events, EventId(v)).is_some() {
+        for v in inst.event_ids() {
+            if inst.insertion_point(events, v).is_some() {
                 feasible += 1;
             }
         }
@@ -68,13 +59,12 @@ fn feasibility<V: CoreView>(view: &V, schedules: &[Vec<EventId>]) -> u64 {
 
 /// Eq. (3) insertion deltas for every (user, event) pair against the
 /// user's schedule.
-fn inc_cost<V: CoreView>(view: &V, schedules: &[Vec<EventId>]) -> u64 {
-    let nv = view.num_events() as u32;
+fn inc_cost(inst: &Instance, schedules: &[Vec<EventId>]) -> u64 {
     let mut acc = 0u64;
     for (u, events) in schedules.iter().enumerate() {
         let u = UserId(u as u32);
-        for v in 0..nv {
-            if let Some(c) = view.inc_cost(events, u, EventId(v)).finite_value() {
+        for v in inst.event_ids() {
+            if let Some(c) = inst.inc_cost(events, u, v).finite_value() {
                 acc = acc.wrapping_add(u64::from(c));
             }
         }
@@ -84,15 +74,12 @@ fn inc_cost<V: CoreView>(view: &V, schedules: &[Vec<EventId>]) -> u64 {
 
 /// The per-user candidate sweep (positive utility + Lemma-1 budget
 /// prefilter) that opens every decomposed solver's user loop.
-fn mu_row_sweep<V: CoreView>(view: &V) -> f64 {
-    let nv = view.num_events();
+fn mu_row_sweep(inst: &Instance) -> f64 {
     let mut total = 0.0;
-    for u in 0..view.num_users() as u32 {
-        let u = UserId(u);
-        let budget = view.budget(u);
-        let row = view.mu_row(u);
-        for (v, &m) in row.iter().enumerate().take(nv) {
-            if m > 0.0 && view.round_trip(u, EventId(v as u32)) <= budget {
+    for u in inst.user_ids() {
+        let budget = inst.user(u).budget;
+        for (v, &m) in inst.mu_row(u).iter().enumerate() {
+            if m > 0.0 && inst.round_trip(u, EventId(v as u32)) <= budget {
                 total += f64::from(m);
             }
         }
@@ -100,51 +87,25 @@ fn mu_row_sweep<V: CoreView>(view: &V) -> f64 {
     total
 }
 
-/// The three sections as (name, object-path run, flat-path run)
-/// triples over one instance; both closures return the same value —
-/// asserted once up front — so the timed loops are interchangeable.
-type Section<'a> = (&'static str, Box<dyn Fn() -> f64 + 'a>, Box<dyn Fn() -> f64 + 'a>);
+/// The three sections as (name, run) pairs over one instance.
+type Section<'a> = (&'static str, Box<dyn Fn() -> f64 + 'a>);
 
-fn sections<'a>(
-    inst: &'a Instance,
-    flat: &'a usep_core::FlatInstance,
-    schedules: &'a [Vec<EventId>],
-) -> Vec<Section<'a>> {
-    let sections: Vec<Section<'a>> = vec![
-        (
-            "feasibility_check",
-            Box::new(move || feasibility(inst, schedules) as f64),
-            Box::new(move || feasibility(flat, schedules) as f64),
-        ),
-        (
-            "inc_cost",
-            Box::new(move || inc_cost(inst, schedules) as f64),
-            Box::new(move || inc_cost(flat, schedules) as f64),
-        ),
-        (
-            "mu_row_sweep",
-            Box::new(move || mu_row_sweep(inst)),
-            Box::new(move || mu_row_sweep(flat)),
-        ),
-    ];
-    for (name, object, flat) in &sections {
-        assert_eq!(object(), flat(), "{name}: object and flat paths disagree");
-    }
-    sections
+fn sections<'a>(inst: &'a Instance, schedules: &'a [Vec<EventId>]) -> Vec<Section<'a>> {
+    vec![
+        ("feasibility_check", Box::new(move || feasibility(inst, schedules) as f64)),
+        ("inc_cost", Box::new(move || inc_cost(inst, schedules) as f64)),
+        ("mu_row_sweep", Box::new(move || mu_row_sweep(inst))),
+    ]
 }
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("core_hot_paths");
     g.sample_size(10).warm_up_time(Duration::from_secs(1)).measurement_time(Duration::from_secs(2));
     let inst = bench_instance();
-    let flat = inst.freeze();
     let schedules = filled_schedules(&inst);
-    for (name, object, flat) in sections(&inst, &flat, &schedules) {
-        g.bench_with_input(BenchmarkId::new(name, "object"), &(), |b, ()| {
-            b.iter(|| black_box(object()))
-        });
-        g.bench_with_input(BenchmarkId::new(name, "flat"), &(), |b, ()| {
-            b.iter(|| black_box(flat()))
+    for (name, run) in sections(&inst, &schedules) {
+        g.bench_with_input(BenchmarkId::new(name, "lowered"), &(), |b, ()| {
+            b.iter(|| black_box(run()))
         });
     }
     g.finish();
@@ -166,24 +127,19 @@ fn median_ns(run: &dyn Fn() -> f64, samples: usize) -> u64 {
 
 fn export_summary() {
     let inst = bench_instance();
-    let flat = inst.freeze();
     let schedules = filled_schedules(&inst);
     let mut entries = Vec::new();
-    for (name, object, flat) in sections(&inst, &flat, &schedules) {
-        black_box(object()); // warm-up
-        black_box(flat());
-        let object_ns = median_ns(object.as_ref(), 7);
-        let flat_ns = median_ns(flat.as_ref(), 7);
-        entries.push(format!(
-            "{{\"section\":\"{name}\",\"object_median_ns\":{object_ns},\
-             \"flat_median_ns\":{flat_ns},\"speedup\":{:.3}}}",
-            object_ns.max(1) as f64 / flat_ns.max(1) as f64
-        ));
+    for (name, run) in sections(&inst, &schedules) {
+        black_box(run()); // warm-up
+        let median = median_ns(run.as_ref(), 7);
+        entries.push(format!("{{\"section\":\"{name}\",\"median_ns\":{median}}}"));
     }
     let json = format!(
-        "{{\"bench\":\"core_hot_paths\",\"events\":{},\"users\":{},\"sections\":[{}]}}\n",
+        "{{\"bench\":\"core_hot_paths\",\"events\":{},\"users\":{},\"conflict_ratio\":0.5,\
+         \"hardware_threads\":{},\"sections\":[{}]}}\n",
         inst.num_events(),
         inst.num_users(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         entries.join(",")
     );
     // `BENCH_CORE_JSON` overrides; the default resolves to the

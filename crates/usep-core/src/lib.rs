@@ -7,11 +7,12 @@
 //! * [`Event`]s with a capacity, a location and a time interval, and
 //!   [`User`]s with a location and a travel budget ([`Cost`]).
 //! * An [`Instance`] bundling events, users, the utility matrix
-//!   `μ(v, u) ∈ [0, 1]` and a [`TravelCost`] oracle. Instances precompute
-//!   the directed event-to-event cost matrix (with [`Cost::INFINITE`] for
-//!   spatio-temporally incompatible pairs) and a [`TemporalIndex`] over
-//!   events sorted by end time — the order every algorithm in the paper
-//!   works in.
+//!   `μ(v, u) ∈ [0, 1]` and a [`TravelCost`] model. Construction lowers
+//!   them once into the dense arrays every solver reads: user↔event legs
+//!   with fees folded in, the directed event-to-event cost matrix (with
+//!   [`Cost::INFINITE`] for spatio-temporally incompatible pairs), a
+//!   time-conflict bitmask and a [`TemporalIndex`] over events sorted by
+//!   end time — the order every algorithm in the paper works in.
 //! * [`Schedule`]s — per-user, time-ordered, conflict-free event lists —
 //!   including the incremental-cost computation of the paper's Eq. (3),
 //!   and [`Planning`]s (one schedule per user) with full validation of the
@@ -48,7 +49,6 @@ pub mod cost;
 pub mod error;
 pub mod event;
 pub mod fairness;
-pub mod flat;
 pub mod geo;
 pub mod ids;
 pub mod instance;
@@ -58,22 +58,19 @@ pub mod stats;
 pub mod temporal;
 pub mod time;
 pub mod user;
-pub mod view;
 
 pub use codec::CodecError;
 pub use cost::Cost;
 pub use error::{BuildError, ConstraintViolation, PlanningError, ValidateError};
 pub use event::Event;
 pub use fairness::FairnessStats;
-pub use flat::{object_path_forced, with_object_path, FlatInstance};
 pub use geo::Point;
 pub use ids::{EventId, UserId};
 pub use instance::patch::PatchError;
 pub use instance::{Instance, InstanceBuilder, TravelCost};
 pub use planning::Planning;
-pub use schedule::{InsertError, Schedule};
+pub use schedule::{normalize_utility, InsertError, Schedule};
 pub use stats::PlanningStats;
 pub use temporal::TemporalIndex;
 pub use time::TimeInterval;
 pub use user::User;
-pub use view::{normalize_utility, CoreView};

@@ -102,7 +102,7 @@ impl Planning {
 
     /// The total utility score `Ω(A) = Σ_u Σ_{v ∈ S_u} μ(v, u)` (Eq. 1).
     pub fn omega(&self, inst: &Instance) -> f64 {
-        crate::view::normalize_utility(
+        crate::schedule::normalize_utility(
             self.schedules
                 .iter()
                 .enumerate()

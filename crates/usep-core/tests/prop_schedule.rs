@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use usep_core::{
-    Cost, CoreView, EventId, Instance, InstanceBuilder, Planning, Point, Schedule, TimeInterval,
-    UserId,
+    Cost, EventId, Instance, InstanceBuilder, Planning, Point, Schedule, TimeInterval, UserId,
 };
 
 /// Strategy: a random grid instance with `nv` events and `nu` users.
@@ -240,38 +239,43 @@ proptest! {
         }
     }
 
-    /// The flat view's bitmask feasibility must agree with the legacy
-    /// interval logic on every query — `insertion_point`, the raw
-    /// word-AND occupancy probe, and full `try_insert` drives (same
-    /// position or the same error kind) — on random instances where
-    /// exactly-touching endpoints are common and the op stream retries
-    /// already-scheduled events (duplicate case, the diagonal bit).
+    /// The conflict-bitmask feasibility must agree with the interval
+    /// definition on every query — `insertion_point`, the raw word-AND
+    /// occupancy probe, and full `try_insert` drives — on random
+    /// instances where exactly-touching endpoints are common and the op
+    /// stream retries already-scheduled events (duplicate case, the
+    /// diagonal bit).
     #[test]
     fn bitmask_feasibility_matches_interval_logic(
         inst in arb_coarse_time_instance(10, 2),
         ops in prop::collection::vec(any::<u32>(), 1..40),
     ) {
-        let flat = inst.freeze();
         let u = UserId(0);
-        let mut legacy = Schedule::new();
-        let mut soa = Schedule::new();
+        let mut s = Schedule::new();
         for op in ops {
             // mod keeps re-picking the same events, so duplicate
             // insertion attempts against a populated schedule occur
             let v = EventId(op % inst.num_events() as u32);
-            let events: Vec<EventId> = legacy.events().to_vec();
-            let obj_pos = CoreView::insertion_point(&inst, &events, v);
-            let flat_pos = CoreView::insertion_point(&*flat, &events, v);
-            prop_assert_eq!(obj_pos, flat_pos);
-            let mut occupied = vec![0u64; flat.words()];
+            let events: Vec<EventId> = s.events().to_vec();
+            let t = inst.event(v).time;
+            let clash = events.iter().any(|&e| e == v || inst.event(e).time.overlaps(t));
+            let reference = if clash {
+                None
+            } else {
+                Some(events.iter().filter(|&&e| inst.event(e).time.precedes(t)).count())
+            };
+            prop_assert_eq!(inst.insertion_point(&events, v), reference);
+            let mut occupied = vec![0u64; inst.words()];
             for &e in &events {
                 occupied[e.index() / 64] |= 1 << (e.index() % 64);
             }
-            prop_assert_eq!(flat.conflicts_with_occupied(&occupied, v), obj_pos.is_none());
-            let via_object = legacy.try_insert(&inst, u, v);
-            let via_flat = soa.try_insert(&*flat, u, v);
-            prop_assert_eq!(via_object, via_flat);
-            prop_assert_eq!(legacy.events(), soa.events());
+            prop_assert_eq!(inst.conflicts_with_occupied(&occupied, v), clash);
+            match s.try_insert(&inst, u, v) {
+                Ok(pos) => prop_assert_eq!(Some(pos), reference),
+                Err(usep_core::InsertError::Duplicate) => prop_assert!(events.contains(&v)),
+                Err(usep_core::InsertError::TimeConflict) => prop_assert!(clash),
+                Err(_) => prop_assert!(!clash),
+            }
         }
     }
 

@@ -1,15 +1,15 @@
 //! The delta-solve engine: warm state + bounded repair + drift-gated
 //! fallback.
 //!
-//! [`DeltaEngine`] keeps a live [`Instance`] (with its amended frozen
-//! view), the current [`Planning`], stable↔dense id maps, and
+//! [`DeltaEngine`] keeps a live [`Instance`], the current
+//! [`Planning`], stable↔dense id maps, and
 //! per-assignment recency stamps. Each [`Mutation`] is applied in three
 //! steps:
 //!
 //! 1. **Patch** — the instance is mutated through the `patch_*` methods
-//!    of `usep-core` (strided memcpy + derived edges, never a full
-//!    rebuild) and the planning's assignment vectors are remapped to
-//!    the post-patch dense ids.
+//!    of `usep-core` (in-place re-strides + derived edges, never a
+//!    full rebuild) and the planning's assignment vectors are remapped
+//!    to the post-patch dense ids.
 //! 2. **Release** — assignments the mutation invalidates are unassigned
 //!    deterministically: cancelled events release every attendee,
 //!    capacity shrinks evict in LIFO stamp order, departures release
@@ -438,10 +438,14 @@ impl DeltaEngine {
             }
         };
         match m {
-            Mutation::EventAdd { capacity, fee, mu, .. } => {
+            Mutation::EventAdd { capacity, time, fee, mu, .. } => {
                 grid_only()?;
                 if *capacity == 0 {
                     return Err(PatchError::ZeroCapacity.into());
+                }
+                if time.start() >= time.end() {
+                    let (start, end) = (time.start(), time.end());
+                    return Err(PatchError::EmptyInterval { start, end }.into());
                 }
                 if *fee == u32::MAX {
                     return Err(PatchError::InfiniteFee.into());
@@ -838,6 +842,23 @@ mod tests {
             .unwrap_err(),
             DeltaError::UnknownUser(77)
         );
+        // a deserialized interval never went through `TimeInterval::new`
+        let empty: TimeInterval = serde_json::from_str(r#"{"start":50,"end":50}"#).unwrap();
+        assert_eq!(
+            e.apply(
+                &Mutation::EventAdd {
+                    capacity: 2,
+                    location: Point::new(1, 1),
+                    time: empty,
+                    fee: 0,
+                    mu: vec![MuEntry { id: 0, mu: 0.9 }],
+                },
+                &NOOP
+            )
+            .unwrap_err(),
+            DeltaError::Patch(PatchError::EmptyInterval { start: 50, end: 50 })
+        );
+        assert!(e.instance().validate().is_ok());
         assert_eq!(*e.planning(), planning);
         assert_eq!(e.stats(), stats);
     }

@@ -8,11 +8,11 @@
 //! * [`Mutation`] / [`MutationTrace`] — the typed mutation stream
 //!   (event add/remove, capacity change, user arrive/depart, μ update),
 //!   addressed by stable ids so traces are replayable and journal-able.
-//! * [`DeltaEngine`] — warm state (live instance with amended frozen
-//!   view, current planning, recency stamps) absorbing mutations with
-//!   bounded work: instance *patch* (`usep-core`'s strided amendments,
-//!   never a rebuild), deterministic *release* of invalidated
-//!   assignments (LIFO on capacity shrink), then one RatioGreedy
+//! * [`DeltaEngine`] — warm state (live instance, current planning,
+//!   recency stamps) absorbing mutations with bounded work: instance
+//!   *patch* (`usep-core`'s in-place patches, never a rebuild),
+//!   deterministic *release* of invalidated assignments (LIFO on
+//!   capacity shrink), then one RatioGreedy
 //!   augmentation pass over residual events. A drift metric —
 //!   released-but-surviving utility over the Ω anchor — triggers
 //!   fallback to a full resolve when repairs have churned too much.

@@ -77,8 +77,8 @@ fn differential_sweep_medium_instances() {
 #[test]
 fn differential_sweep_with_patch_byte_identity() {
     // 30 traces with the quadratic patched-instance differential on:
-    // object arrays, cost matrix and amended frozen view must equal a
-    // from-scratch rebuild after every single mutation
+    // records and every derived array must equal a from-scratch
+    // rebuild after every single mutation
     sweep(
         5000..5030,
         TraceGenConfig { seed: 0, mutations: 25, events: 6, users: 8 },

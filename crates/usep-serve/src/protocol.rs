@@ -23,8 +23,7 @@ pub struct SolveRequest {
     pub id: String,
     /// The instance to plan, shared by reference: cloning a request for
     /// a retry tier or a journal replay copies a pointer, not the
-    /// matrices, and the one-shot [`Instance::freeze`] lowering is
-    /// shared with it.
+    /// matrices.
     pub instance: Arc<Instance>,
     /// Algorithm name (same names as `usep solve --algorithm`);
     /// the server default applies when absent.

@@ -524,10 +524,6 @@ fn screen_request(line: &str) -> Result<SolveRequest, Box<SolveResponse>> {
             Status::Rejected { error: format!("invalid instance: {e}") },
         )));
     }
-    // Lower to the flat SoA view once, here on the admission path: every
-    // retry tier and journal replay shares the cached lowering through
-    // the request's `Arc<Instance>` instead of re-freezing per attempt.
-    request.instance.freeze();
     Ok(request)
 }
 
