@@ -9,12 +9,20 @@
 //! first 48 instances of the seed-42 fuzz stream, the 50×250 cr = 0.5
 //! synthetic instance at seed 2015, and one Auckland-size city snapshot.
 //!
+//! A second, tie-heavy set pins the `DPSingle` paths alone (DeDP, DeDPO,
+//! DeDPO+RG, `optimal_user_schedule` and the capacity-relaxed bound) on
+//! small grids with μ rounded to multiples of 0.25, where many chains
+//! reach the same utility at different costs and the DP's tie-breaking
+//! decides the planning.
+//!
 //! One digest per (instance group, path) folds the encodings of every
 //! instance in the group in order. The plannings are thread-count
 //! invariant, so the digests hold under any `USEP_THREADS`.
 
-use usep_algos::{bounds, local_search, solve, Algorithm, GuardedSolver, SolveBudget};
-use usep_core::Instance;
+use usep_algos::{
+    bounds, local_search, optimal_user_schedule, solve, Algorithm, GuardedSolver, SolveBudget,
+};
+use usep_core::{EventId, Instance};
 use usep_gen::{generate, generate_city, CityConfig, SyntheticConfig};
 use usep_oracle::fuzz::stream_config;
 use usep_serve::{solve_with_retry, SolveLimits, SolveRequest};
@@ -80,9 +88,19 @@ fn encodings(inst: &Instance) -> Vec<Vec<u8>> {
 }
 
 fn digests(instances: impl IntoIterator<Item = Instance>) -> [u64; 10] {
-    let mut h = [FNV_OFFSET; 10];
+    digests_with(instances, encodings)
+}
+
+/// One FNV digest per path over the instances, in order.
+fn digests_with<const N: usize>(
+    instances: impl IntoIterator<Item = Instance>,
+    encode: fn(&Instance) -> Vec<Vec<u8>>,
+) -> [u64; N] {
+    let mut h = [FNV_OFFSET; N];
     for inst in instances {
-        for (k, bytes) in encodings(&inst).iter().enumerate() {
+        let bytes = encode(&inst);
+        assert_eq!(bytes.len(), N);
+        for (k, bytes) in bytes.iter().enumerate() {
             h[k] = fnv1a(h[k], bytes);
         }
     }
@@ -90,18 +108,83 @@ fn digests(instances: impl IntoIterator<Item = Instance>) -> [u64; 10] {
 }
 
 fn check(group: &str, got: [u64; 10], want: [u64; 10]) {
-    let table: String = PATHS
+    check_paths(group, &PATHS, &got, &want);
+}
+
+fn check_paths(group: &str, paths: &[&str], got: &[u64], want: &[u64]) {
+    let table: String = paths
         .iter()
         .zip(got)
         .map(|(p, h)| format!("    0x{h:016x}, // {p}\n"))
         .collect();
-    for k in 0..PATHS.len() {
+    for k in 0..paths.len() {
         assert_eq!(
             got[k], want[k],
             "{group}: {} planning hash changed; digests now:\n{table}",
-            PATHS[k]
+            paths[k]
         );
     }
+}
+
+const TIE_PATHS: [&str; 5] = ["DeDP", "DeDPO", "DeDPO+RG", "optimal_user_schedule", "bound"];
+
+/// The `DPSingle` paths' encodings on `inst`, in [`TIE_PATHS`] order.
+/// `optimal_user_schedule` runs once per user over every event with its
+/// μ and folds the chosen events and the score's `f64` bits.
+fn tie_encodings(inst: &Instance) -> Vec<Vec<u8>> {
+    let json = |p: &usep_core::Planning| serde_json::to_string(p).unwrap().into_bytes();
+    let mut out: Vec<Vec<u8>> = [Algorithm::DeDP, Algorithm::DeDPO, Algorithm::DeDPORG]
+        .iter()
+        .map(|&a| json(&solve(a, inst)))
+        .collect();
+    let mut single = Vec::new();
+    for u in inst.user_ids() {
+        let cands: Vec<(EventId, f64)> = inst.event_ids().map(|v| (v, inst.mu(v, u))).collect();
+        let (events, score) = optimal_user_schedule(inst, u, &cands);
+        for v in events {
+            single.extend_from_slice(&v.0.to_le_bytes());
+        }
+        single.extend_from_slice(&score.to_bits().to_le_bytes());
+    }
+    out.push(single);
+    out.push(bounds::capacity_relaxed_bound(inst).to_bits().to_le_bytes().to_vec());
+    out
+}
+
+/// Small-grid instances (grids 5/10/20, mean capacities 1–5, budget
+/// factors 0.5/1/2) with every μ rounded to the nearest multiple of
+/// 0.25: costs repeat on a small grid and utilities repeat after
+/// rounding, so equal-utility chains at different costs are common.
+fn tie_heavy_instances() -> Vec<Instance> {
+    let mut seed = 0u64;
+    let mut out = Vec::new();
+    for grid in [5, 10, 20] {
+        for capacity in 1..=5u32 {
+            for fb in [0.5, 1.0, 2.0] {
+                seed += 1;
+                let cfg = SyntheticConfig {
+                    grid,
+                    ..SyntheticConfig::tiny()
+                        .with_events(12)
+                        .with_users(16)
+                        .with_capacity_mean(capacity)
+                        .with_budget_factor(fb)
+                        .with_conflict_ratio(0.25 * f64::from(capacity % 3))
+                };
+                let mut inst = generate(&cfg, mix(7 ^ seed));
+                let (events, users): (Vec<_>, Vec<_>) =
+                    (inst.event_ids().collect(), inst.user_ids().collect());
+                for &u in &users {
+                    for &v in &events {
+                        let q = (inst.mu(v, u) * 4.0).round() / 4.0;
+                        inst.patch_set_mu(v, u, q).unwrap();
+                    }
+                }
+                out.push(inst);
+            }
+        }
+    }
+    out
 }
 
 #[test]
@@ -164,6 +247,23 @@ fn auckland_snapshot_plannings_are_pinned() {
             0x39f0884cf87235ea, // local_search
             0xf2e9a810c3eb4732, // bound
             0x3740e457782098d3, // serve
+        ],
+    );
+}
+
+#[test]
+fn tie_heavy_dp_plannings_are_pinned() {
+    let got: [u64; 5] = digests_with(tie_heavy_instances(), tie_encodings);
+    check_paths(
+        "tie-heavy quantized-μ set",
+        &TIE_PATHS,
+        &got,
+        &[
+            0x4c915a64cd64e994, // DeDP
+            0x4c915a64cd64e994, // DeDPO
+            0xfc29c4e7dd4b95bd, // DeDPO+RG
+            0x24bfa1ca55db2b2b, // optimal_user_schedule
+            0xf811d03fa64186aa, // bound
         ],
     );
 }
