@@ -170,7 +170,7 @@ pub fn optimal_user_schedule(
 
 /// [`optimal_user_schedule`] against a caller-owned workspace, so a
 /// loop over many users (the capacity-relaxed bound's hot path) reuses
-/// one DP table instead of reallocating it per user.
+/// one DP workspace instead of reallocating it per user.
 pub(crate) fn optimal_user_schedule_with(
     ws: &mut DpScheduler<'_>,
     inst: &Instance,

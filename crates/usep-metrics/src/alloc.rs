@@ -97,8 +97,13 @@ mod tests {
     // global allocator is a binary-level decision), so the counters stay
     // at zero; these tests cover the bookkeeping API surface.
 
+    /// Both tests below move the process-wide counters, and the test
+    /// harness runs tests on parallel threads: they take turns.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_are_consistent_without_registration() {
+        let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let c = current_bytes();
         reset_peak();
         assert_eq!(peak_bytes(), c);
@@ -110,6 +115,7 @@ mod tests {
 
     #[test]
     fn track_alloc_updates_peak() {
+        let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         // exercise the internal high-water logic directly
         let before_peak = peak_bytes();
         track_alloc(123);
